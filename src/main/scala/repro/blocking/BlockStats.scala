@@ -2,6 +2,7 @@ package repro.blocking
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.Checkpoint
 import repro.er.ErDataset
 
 /** A redundancy-positive block collection ready for meta-blocking.
@@ -37,7 +38,11 @@ final case class BlockCollection(
   def cepK: Long = sumBlockSizes / 2
 
   /** CNP/RCNP's per-entity threshold: k = max(1, ⌊Σ|b| / (|E1|+|E2|)⌋) [20]. */
-  def cnpK: Long = math.max(1L, sumBlockSizes / nEntities)
+  def cnpK: Long = {
+    require(nEntities > 0,
+      s"CNP's per-entity budget k needs at least one entity, but |E1| + |E2| = $nEntities")
+    math.max(1L, sumBlockSizes / nEntities)
+  }
 }
 
 /** Builds [[BlockCollection]]s and the distinct candidate-pair set C. */
@@ -47,7 +52,12 @@ object BlockStats {
     * with at least one comparison. ‖b‖ = |b∩E1|·|b∩E2| for Clean-Clean and
     * |b|·(|b|−1)/2 for Dirty ER.
     */
-  def fromAssignments(eb: DataFrame, dirty: Boolean, n1: Long, n2: Long): BlockCollection = {
+  def fromAssignments(eb: DataFrame, dirty: Boolean, n1: Long, n2: Long): BlockCollection =
+    // `eb` is usually the lazy blocking chain (Token Blocking → Purging →
+    // Filtering); materialise it once for the two tables read from it.
+    Checkpoint.using(eb.select("eid", "src", "bid"))(collection(_, dirty, n1, n2))
+
+  private def collection(eb: DataFrame, dirty: Boolean, n1: Long, n2: Long): BlockCollection = {
     val grouped = eb.groupBy("bid").agg(
       sum(when(col("src") === 1, 1L).otherwise(0L)).as("cnt1"),
       sum(when(col("src") === 2, 1L).otherwise(0L)).as("cnt2"))
@@ -69,9 +79,7 @@ object BlockStats {
       coalesce(sum("bComps"), lit(0.0)).as("totComps"),
       coalesce(sum("bSize"), lit(0L)).as("sumSizes")).collect()(0)
 
-    val ebKept = eb.join(stats.select("bid"), Seq("bid"), "left_semi")
-      .select("eid", "src", "bid")
-      .localCheckpoint()
+    val ebKept = eb.join(stats.select("bid"), Seq("bid"), "left_semi").localCheckpoint()
 
     BlockCollection(
       eb = ebKept,

@@ -20,18 +20,23 @@ object Evaluation {
       f"Re=$recall%.4f Pr=$precision%.4g F1=$f1%.4f |C'|=$retained tp=$truePositives"
   }
 
-  /** @param retained pruned pair set (i, j)
+  /** One query: the retained pairs and the ground truth are unioned with
+    * `ret`/`dup` flags and grouped by pair, so repeated rows on either side
+    * collapse, and one global sum counts the retained and the true-positive
+    * pairs.
+    *
+    * @param retained pruned pair set (i, j)
     * @param groundTruth duplicate pairs (id1, id2), oriented like candidates
     * @param nDuplicates |D|
     */
   def evaluate(retained: DataFrame, groundTruth: DataFrame, nDuplicates: Long): Metrics = {
-    val kept = retained.select("i", "j").distinct().cache()
-    val total = kept.count()
-    val tp = kept.join(
-      groundTruth.select(col("id1").as("i"), col("id2").as("j")),
-      Seq("i", "j"), "left_semi").count()
-    kept.unpersist()
-    of(tp, total, nDuplicates)
+    val flagged = retained.select(col("i"), col("j"), lit(1).as("ret"), lit(0).as("dup"))
+      .union(groundTruth.select(col("id1").as("i"), col("id2").as("j"), lit(0).as("ret"),
+        lit(1).as("dup")))
+    val counts = flagged.groupBy("i", "j").agg(max("ret").as("ret"), max("dup").as("dup"))
+      .agg(coalesce(sum("ret"), lit(0L)), coalesce(sum(col("ret") * col("dup")), lit(0L)))
+      .collect()(0)
+    of(counts.getLong(1), counts.getLong(0), nDuplicates)
   }
 
   /** Metrics from raw counts (shared with the driver-side sweep path). */

@@ -87,13 +87,15 @@ object Pruning {
 
   /** Supervised Cardinality Edge Pruning (Algorithm 4): keep the K
     * top-weighted valid pairs globally; K = ⌊Σ|b|/2⌋ over the input blocks.
+    * A K beyond `Int.MaxValue` keeps every valid pair, as in
+    * [[LocalSweep.prune]].
     */
   def cep(scored: DataFrame, k: Long): DataFrame = {
-    require(k >= 0)
+    require(k >= 0, s"CEP budget K must be non-negative, got $k")
     if (k == 0) scored.select("i", "j").limit(0)
     else valid(scored)
       .orderBy(col("prob").desc, col("i").asc, col("j").asc)
-      .limit(k.toInt)
+      .limit(math.min(k, Int.MaxValue.toLong).toInt)
       .select("i", "j")
   }
 
@@ -118,14 +120,16 @@ object Pruning {
     topKPerEntity(scored, k).select("i", "j").distinct()
 
   /** Reciprocal CNP (§3.2): the pair must sit in the top-k queue of *both*
-    * endpoints.
+    * endpoints. One grouping over the queue entries decides membership; it
+    * keeps set semantics, so a pair listed twice in one queue still needs
+    * the other.
     */
-  def rcnp(scored: DataFrame, k: Long): DataFrame = {
-    val member = topKPerEntity(scored, k)
-    val byI = member.filter(col("eid") === col("i")).select("i", "j")
-    val byJ = member.filter(col("eid") === col("j")).select("i", "j")
-    byI.intersect(byJ)
-  }
+  def rcnp(scored: DataFrame, k: Long): DataFrame =
+    topKPerEntity(scored, k)
+      .groupBy("i", "j")
+      .agg(max(col("eid") === col("i")).as("inI"), max(col("eid") === col("j")).as("inJ"))
+      .filter(col("inI") && col("inJ"))
+      .select("i", "j")
 
   /** Dispatch by algorithm name (as listed in [[weightBased]] and
     * [[cardinalityBased]]).

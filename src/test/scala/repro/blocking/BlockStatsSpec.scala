@@ -69,6 +69,12 @@ class BlockStatsSpec extends SparkSpec {
     assert(tiny.cnpK === 1)
   }
 
+  test("cnpK of a collection without entities fails with a message") {
+    val empty = cc.copy(n1 = 0, n2 = 0)
+    val e = intercept[IllegalArgumentException](empty.cnpK)
+    assert(e.getMessage.contains("|E1| + |E2| = 0"))
+  }
+
   test("build() composes purging and filtering on a real dataset") {
     val ds = ErSynth.cleanClean(spark, Datasets.unitCc)
     val bc = BlockStats.build(ds)

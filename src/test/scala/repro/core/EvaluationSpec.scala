@@ -44,6 +44,22 @@ class EvaluationSpec extends SparkSpec {
     assert(m.precision === 1.0)
   }
 
+  test("repeated ground-truth rows count once; unretained duplicates are misses") {
+    // (1,10) retained and listed three times in the ground truth; (2,11) and
+    // (3,12) are duplicates that were not retained; (5,50) is noise.
+    val m = Evaluation.evaluate(
+      pairs((1L, 10L), (5L, 50L), (5L, 50L)),
+      gt((1L, 10L), (1L, 10L), (2L, 11L), (1L, 10L), (3L, 12L), (2L, 11L)), 3)
+    assert(m.retained === 2)
+    assert(m.truePositives === 1)
+    assert(m === Evaluation.of(tp = 1, retained = 2, nDuplicates = 3))
+  }
+
+  test("empty retained set and empty ground truth give zeros") {
+    val m = Evaluation.evaluate(pairs(), gt(), 0)
+    assert((m.retained, m.truePositives) === (0L, 0L))
+  }
+
   test("of() agrees with evaluate() on the same counts") {
     val viaDf = Evaluation.evaluate(
       pairs((1L, 10L), (9L, 90L)), gt((1L, 10L), (2L, 20L)), 2)

@@ -1,13 +1,15 @@
 package repro.core
 
-import repro.SparkSpec
-import repro.blocking.BlockStats
-import repro.er.{Datasets, ErSynth}
+import repro.{Checkpoint, SparkSpec}
+import repro.blocking.{BlockCollection, BlockStats}
+import repro.er.{Datasets, ErDataset, ErSynth}
 
 class PipelineSpec extends SparkSpec {
 
   private lazy val ds = ErSynth.cleanClean(spark, Datasets.unitCc)
   private lazy val bc = BlockStats.build(ds)
+  private lazy val dd = ErSynth.dirty(spark, Datasets.unitDirty)
+  private lazy val dbc = BlockStats.build(dd)
 
   test("blocking metrics: near-complete recall, low precision") {
     val m = Pipeline.blockingMetrics(ds, bc)
@@ -43,20 +45,42 @@ class PipelineSpec extends SparkSpec {
     assert(r.model.weights.length === Scheme.featureColumns(Scheme.blastOptimal).size)
   }
 
+  /** run and runCached share one train → score → prune → evaluate body; only
+    * the owner of the labeled table differs. Each algorithm uses its paper
+    * configuration's feature set, so the LCP pass is covered too.
+    */
+  private def assertRunEqualsRunCached(tag: String, d: ErDataset, b: BlockCollection): Unit =
+    for ((schemes, algos) <- Seq(Scheme.blastOptimal -> Pruning.weightBased,
+                                 Scheme.rcnpOptimal -> Pruning.cardinalityBased))
+      Checkpoint.using(Features.labeled(Features.compute(b, schemes), d.groundTruth)) { labeled =>
+        for (algo <- algos) {
+          val a = Pipeline.run(d, b, schemes, algo, 25, 25, 5)
+          val c = Pipeline.runCached(labeled, d.groundTruth, d.groundTruth.count(),
+            b, schemes, algo, 25, 25, 5)
+          assert((a.metrics.retained, a.metrics.truePositives) ===
+            (c.metrics.retained, c.metrics.truePositives), s"$tag/$algo metrics")
+          assert(a.model.weights.toSeq === c.model.weights.toSeq, s"$tag/$algo weights")
+          assert(a.model.intercept === c.model.intercept, s"$tag/$algo intercept")
+        }
+      }
+
   test("runCached equals run for the same configuration") {
-    val labeled = Features.labeled(
-      Features.compute(bc, Scheme.blastOptimal), ds.groundTruth).localCheckpoint()
-    val a = Pipeline.run(ds, bc, Scheme.blastOptimal, "BLAST", 25, 25, 5)
-    val b = Pipeline.runCached(labeled, ds.groundTruth, ds.groundTruth.count(),
-      bc, Scheme.blastOptimal, "BLAST", 25, 25, 5)
-    assert(a.metrics.retained === b.metrics.retained)
-    assert(a.metrics.truePositives === b.metrics.truePositives)
-    labeled.unpersist()
+    assertRunEqualsRunCached("clean-clean", ds, bc)
+  }
+
+  test("dirty: runCached equals run for every algorithm") {
+    assertRunEqualsRunCached("dirty", dd, dbc)
+  }
+
+  test("run frees everything it persists") {
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    for (algo <- Seq("BLAST", "RCNP"))
+      Pipeline.run(ds, bc, Scheme.rcnpOptimal, algo, 25, 25, 3)
+    assert(sc.getPersistentRDDs.keySet === before)
   }
 
   test("dirty ER end-to-end") {
-    val dd = ErSynth.dirty(spark, Datasets.unitDirty)
-    val dbc = BlockStats.build(dd)
     val blocking = Pipeline.blockingMetrics(dd, dbc)
     val r = Pipeline.run(dd, dbc, Scheme.blastOptimal, "BLAST", 25, 25, 1)
     assert(blocking.recall > 0.8)

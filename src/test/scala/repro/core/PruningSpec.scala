@@ -86,6 +86,14 @@ class PruningSpec extends SparkSpec {
     assert(run(Pruning.cep(scored, 100)).size === 6)
   }
 
+  test("CEP clamps a budget beyond Int.MaxValue to every valid pair, like LocalSweep") {
+    val k = Int.MaxValue.toLong + 1
+    assert(run(Pruning.cep(scored, k)) === run(Pruning.bcl(scored)))
+    val lp = LocalSweep.LocalPairs(Array("prob"), Array(1L, 2L, 3L), Array(10L, 20L, 30L),
+      Array(Array(0.9), Array(0.6), Array(0.2)), Array(true, false, false), 1, cepK = k, cnpK = 1)
+    assert(LocalSweep.prune(lp, Array(0.9, 0.6, 0.2), "CEP").toSeq === Seq(0, 1))
+  }
+
   test("CNP keeps pairs in either endpoint's top-k queue") {
     // k=1 queues: e1→(1,101); e2→(2,101) (tie .70/.70 broken by j asc);
     // e101→(1,101); e102→(2,102); e103→(1,103); e4/104→(4,104)
